@@ -42,6 +42,7 @@ import hashlib
 import json
 import threading
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -94,15 +95,27 @@ MODELED_COMPONENT_NS: Dict[str, int] = {
 MODELED_OVERHEAD_NS_PER_OP: int = sum(MODELED_COMPONENT_NS.values())
 
 
+#: Pending records a ledger holds before folding them into its
+#: per-category totals; bounds the append-only buffer's memory.
+FOLD_EVERY = 1024
+
+
 class DispatchLedger:
     """Per-category attribution of dispatch wall time into components.
 
     Thread-safe: serve worker threads dispatching concurrently feed
     one ledger.  All accumulators are integer nanoseconds.
+
+    :meth:`record` is on the dispatch hot path, so it only appends to
+    a pending list (``list.append`` is atomic); the pending records
+    are folded into the totals under the lock every
+    :data:`FOLD_EVERY` records and before every read.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        #: (category, parts) records not yet folded into the totals
+        self._pending: List[Tuple[str, Dict[str, int]]] = []
         #: category -> component -> accumulated ns
         self._ns: Dict[str, Dict[str, int]] = {}
         #: category -> op count
@@ -110,26 +123,50 @@ class DispatchLedger:
 
     # -- recording (dispatcher-facing) ----------------------------------------
     def record(self, category: str, parts: Dict[str, int]) -> None:
-        """Fold one op's component-ns map into the ledger."""
-        with self._lock:
-            self._ops[category] = self._ops.get(category, 0) + 1
+        """Add one op's component-ns map (every name in
+        :data:`COMPONENTS` -> ns) to the ledger."""
+        pending = self._pending
+        pending.append((category, parts))
+        if len(pending) >= FOLD_EVERY:
+            with self._lock:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold pending records into the totals; caller holds the lock.
+
+        The pending list is never replaced, only trimmed from the front
+        here, so a record appended concurrently lands after the ``n``
+        entries taken and is kept for the next fold.
+        """
+        pending = self._pending
+        n = len(pending)
+        groups: Dict[str, List[Dict[str, int]]] = {}
+        for category, parts in pending[:n]:
+            groups.setdefault(category, []).append(parts)
+        del pending[:n]
+        for category, group in groups.items():
+            self._ops[category] = self._ops.get(category, 0) + len(group)
             bucket = self._ns.setdefault(category, {})
-            for component, ns in parts.items():
-                bucket[component] = bucket.get(component, 0) + ns
+            for component in COMPONENTS:
+                bucket[component] = bucket.get(component, 0) + sum(
+                    map(itemgetter(component), group))
 
     # -- totals ---------------------------------------------------------------
     @property
     def ops(self) -> int:
         with self._lock:
+            self._fold()
             return sum(self._ops.values())
 
     def ops_by_category(self) -> Dict[str, int]:
         with self._lock:
+            self._fold()
             return dict(self._ops)
 
     def component_ns(self, category: Optional[str] = None) -> Dict[str, int]:
         """Accumulated ns per component (one category, or all)."""
         with self._lock:
+            self._fold()
             if category is not None:
                 return dict(self._ns.get(category, {}))
             out: Dict[str, int] = {}
@@ -193,6 +230,7 @@ class DispatchLedger:
     def measured_dict(self) -> Dict[str, object]:
         """The probe-accumulated, machine-dependent view."""
         with self._lock:
+            self._fold()
             per_category = {
                 category: {c: bucket.get(c, 0) for c in COMPONENTS
                            if c in bucket}

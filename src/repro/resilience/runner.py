@@ -424,7 +424,12 @@ class ResilientRunner:
             raise WorkloadTimeout(
                 f"{name!r} exceeded {self.timeout:.1f}s wall-clock "
                 f"budget") from None
-        pool.shutdown(wait=True)
+        finally:
+            if future.done():
+                # the attempt finished (returned or raised): release
+                # its thread, which would otherwise idle until the
+                # pool is garbage-collected
+                pool.shutdown(wait=True)
         return result
 
     def _compiled_attempt(self, name: str, seed: int,

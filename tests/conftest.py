@@ -3,12 +3,19 @@ part, so each workload is profiled once per test session)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.profiler import Trace
 from repro.workloads import PAPER_ORDER, create
 
 _TRACE_CACHE = {}
+
+#: Numeric contract (DESIGN.md §4h) of the accumulating kernels
+#: (conv2d's BLAS GEMM, AvgPool2d's window sum): an output element may
+#: differ from the exact value by at most ``rtol`` times the sum of the
+#: absolute terms it accumulates; atol is 0.  Keyed by output dtype.
+ACCUMULATE_RTOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
 
 
 def cached_trace(name: str, **params) -> Trace:

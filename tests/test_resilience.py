@@ -9,6 +9,7 @@ bugfixes (roster abort, non-finite validation, zero-latency render).
 from __future__ import annotations
 
 import math
+import threading
 import time
 from typing import Any, Dict
 
@@ -286,6 +287,11 @@ def test_runner_fails_fast_on_deterministic_errors():
     assert sleeps == []
 
 
+def _attempt_threads(name: str) -> list:
+    return [t for t in threading.enumerate()
+            if t.name.startswith(f"resilient-{name}")]
+
+
 def test_runner_times_out_hung_workloads():
     runner = quick_runner(timeout=0.05,
                           retry=RetryPolicy(max_retries=0))
@@ -294,6 +300,19 @@ def test_runner_times_out_hung_workloads():
     assert outcome.error_type == "WorkloadTimeout"
     assert outcome.error_class == "transient"
     assert classify_error(WorkloadTimeout("x")) == "transient"
+    # the abandoned attempt wakes up and dispatches ops; join it so
+    # they cannot land in a later test's process-wide ledger
+    for thread in _attempt_threads("hang"):
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+def test_runner_failed_attempt_releases_its_thread():
+    runner = quick_runner(timeout=5.0,
+                          retry=RetryPolicy(max_retries=0))
+    outcome = runner.run_workload("boom")
+    assert outcome.error_type == "ValueError"
+    assert _attempt_threads("boom") == []
 
 
 def test_runner_breaker_opens_and_short_circuits():

@@ -17,6 +17,8 @@ lint: the dispatch-overhead observatory's invariants.
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,40 @@ class TestLedgerAttribution:
         assert ledger.modeled_headroom(0.0) == 1.0
         assert ledger.modeled_overhead_ns() == \
             ledger.ops * selfprof.MODELED_OVERHEAD_NS_PER_OP
+
+
+class TestLedgerConcurrency:
+    def test_concurrent_records_are_never_lost(self, monkeypatch):
+        """More recording threads than cores, with a short switch
+        interval and a fold every few records: every record lands in
+        the totals exactly once."""
+        monkeypatch.setattr(selfprof, "FOLD_EVERY", 3)
+        ledger = selfprof.DispatchLedger()
+        parts = dict.fromkeys(selfprof.COMPONENTS, 1)
+        threads_n, per_thread = 6, 5000
+
+        def feed(category):
+            for _ in range(per_thread):
+                ledger.record(category, parts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=feed, args=(f"c{i % 2}",))
+                       for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads_n * per_thread
+        assert ledger.ops == total
+        assert ledger.ops_by_category() == {"c0": total // 2,
+                                             "c1": total // 2}
+        assert ledger.component_ns() == dict.fromkeys(
+            selfprof.COMPONENTS, total)
 
 
 class TestZeroInterference:
