@@ -45,17 +45,17 @@ class LatencyBreakdown:
 
 def latency_breakdown(trace: Trace, device: DeviceSpec) -> LatencyBreakdown:
     """Project ``trace`` onto ``device`` and decompose its latency."""
-    projected = project_trace(trace, device)
-    counts: Dict[str, int] = {}
-    for event in trace:
-        counts[event.phase] = counts.get(event.phase, 0) + 1
+    return _latency_from_projected(project_trace(trace, device))
+
+
+def _latency_from_projected(projected: ProjectedTrace) -> LatencyBreakdown:
     return LatencyBreakdown(
-        workload=trace.workload,
-        device=device.name,
+        workload=projected.trace.workload,
+        device=projected.device.name,
         total_time=projected.total_time,
         phase_times=projected.time_by_phase(),
         stage_times=projected.time_by_stage(),
-        event_counts=counts,
+        event_counts=projected.count_by_phase(),
     )
 
 
@@ -85,15 +85,20 @@ def operator_breakdown(trace: Trace, device: DeviceSpec,
                        phases: Optional[Sequence[str]] = None
                        ) -> List[OperatorBreakdown]:
     """Category runtime shares per phase (Fig. 3a)."""
-    projected = project_trace(trace, device)
+    return _operators_from_projected(project_trace(trace, device), phases)
+
+
+def _operators_from_projected(projected: ProjectedTrace,
+                              phases: Optional[Sequence[str]] = None
+                              ) -> List[OperatorBreakdown]:
     if phases is None:
-        phases = [p for p in trace.phases() if p]
+        phases = [p for p in projected.phases() if p]
     out: List[OperatorBreakdown] = []
     for phase in phases:
         cat_times = projected.time_by_category(phase)
         total = sum(cat_times.values())
         out.append(OperatorBreakdown(
-            workload=trace.workload, phase=phase,
+            workload=projected.trace.workload, phase=phase,
             total_time=total, category_times=cat_times))
     return out
 

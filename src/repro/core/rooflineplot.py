@@ -13,6 +13,7 @@ from typing import Dict, List, Sequence
 
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.hwsim.device import DeviceSpec
+from repro.hwsim.latency import ProjectedTrace, project_trace
 from repro.hwsim.roofline import RooflinePoint, roofline_points
 
 
@@ -52,10 +53,12 @@ def phase_boundedness(trace: Trace, device: DeviceSpec) -> Dict[str, str]:
     compute roof.  (A single aggregate OI point can misclassify a phase
     whose time is dominated by a few high-intensity kernels.)
     """
-    from repro.hwsim.latency import project_trace
-    projected = project_trace(trace, device)
+    return _boundedness_from_projected(project_trace(trace, device))
+
+
+def _boundedness_from_projected(projected: ProjectedTrace) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    for phase in trace.phases():
+    for phase in projected.phases():
         if not phase:
             continue
         fraction = projected.memory_bound_fraction(phase)

@@ -14,18 +14,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.analysis import (LatencyBreakdown, OperatorBreakdown,
-                                 flops_breakdown, latency_breakdown,
-                                 operator_breakdown)
+                                 _latency_from_projected,
+                                 _operators_from_projected, flops_breakdown)
 from repro.core.memory import MemoryProfile, memory_profile
-from repro.core.opgraph import OpGraphReport, analyze_graph
+from repro.core.opgraph import OpGraphReport, _graph_from_projected
 from repro.core.profiler import PHASE_NEURAL, PHASE_SYMBOLIC, Trace
 from repro.core.report import format_bytes, format_time, render_shares, render_table
-from repro.core.rooflineplot import phase_boundedness
+from repro.core.rooflineplot import _boundedness_from_projected
 from repro.core.sparsity import StageSparsity, stage_sparsity
 from repro.core.taxonomy import CATEGORY_ORDER
 from repro.core.validate import validate_trace
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.devices import RTX_2080TI
+from repro.hwsim.latency import project_trace
 
 if False:  # typing-only import; runtime import is deferred (cycle)
     from repro.workloads.base import Workload  # pragma: no cover
@@ -98,21 +99,26 @@ class WorkloadReport:
 def characterize_trace(trace: Trace,
                        device: DeviceSpec = RTX_2080TI,
                        validate: bool = True) -> WorkloadReport:
-    """Derive every analysis view from an already-collected trace."""
+    """Derive every analysis view from an already-collected trace.
+
+    The trace is projected onto ``device`` once; the latency, operator,
+    boundedness and op-graph views all read that one projection.
+    """
     if validate:
         validate_trace(
             trace,
             expected_phases=(PHASE_NEURAL, PHASE_SYMBOLIC),
         ).raise_if_invalid()
+    projected = project_trace(trace, device)
     return WorkloadReport(
         workload=trace.workload,
         device=device.name,
         trace=trace,
-        latency=latency_breakdown(trace, device),
-        operators=operator_breakdown(trace, device),
+        latency=_latency_from_projected(projected),
+        operators=_operators_from_projected(projected),
         memory=memory_profile(trace),
-        boundedness=phase_boundedness(trace, device),
-        opgraph=analyze_graph(trace, device),
+        boundedness=_boundedness_from_projected(projected),
+        opgraph=_graph_from_projected(projected),
         sparsity=stage_sparsity(trace),
         flops_shares=flops_breakdown(trace),
         result=dict(trace.metadata.get("result", {})),  # type: ignore[arg-type]

@@ -55,52 +55,105 @@ class EventCost:
         return self.event.flops / total
 
 
+@dataclass
+class _Folds:
+    """Per-key time sums of one projection, accumulated in event order
+    (each sum adds the same terms in the same order as a per-view loop
+    would, so every float is bit-equal to it)."""
+
+    total_time: float
+    phase_times: Dict[str, float]
+    phase_counts: Dict[str, int]
+    stage_times: Dict[str, float]
+    category_times: Dict[OpCategory, float]
+    phase_category_times: Dict[str, Dict[OpCategory, float]]
+    memory_bound_time: float
+    phase_memory_bound_times: Dict[str, float]
+
+
 class ProjectedTrace:
-    """A trace with per-event latency projections for one device."""
+    """A trace with per-event latency projections for one device.
+
+    The per-phase, per-stage, per-(phase, category) and memory-bound
+    time sums are folded in one sweep over ``costs``, on first use, and
+    shared by every accessor; each accessor returns a fresh dict.
+    """
 
     def __init__(self, trace: Trace, device: DeviceSpec,
                  costs: Sequence[EventCost]):
         self.trace = trace
         self.device = device
         self.costs = list(costs)
+        self._folds: Optional[_Folds] = None
+
+    def _fold(self) -> _Folds:
+        if self._folds is not None:
+            return self._folds
+        phase_times: Dict[str, float] = {}
+        phase_counts: Dict[str, int] = {}
+        stage_times: Dict[str, float] = {}
+        category_times: Dict[OpCategory, float] = {}
+        phase_category: Dict[str, Dict[OpCategory, float]] = {}
+        totals: List[float] = []
+        memory_bound = 0.0
+        phase_memory: Dict[str, float] = {}
+        for cost in self.costs:
+            event = cost.event
+            phase = event.phase
+            category = event.category
+            total = cost.total
+            totals.append(total)
+            phase_times[phase] = phase_times.get(phase, 0.0) + total
+            phase_counts[phase] = phase_counts.get(phase, 0) + 1
+            stage = event.stage or "<untagged>"
+            stage_times[stage] = stage_times.get(stage, 0.0) + total
+            category_times[category] = category_times.get(category, 0.0) \
+                + total
+            by_category = phase_category.get(phase)
+            if by_category is None:
+                by_category = phase_category[phase] = {}
+            by_category[category] = by_category.get(category, 0.0) + total
+            if cost.bound == "memory":
+                memory_bound += total
+                phase_memory[phase] = phase_memory.get(phase, 0.0) + total
+        self._folds = _Folds(sum(totals), phase_times, phase_counts,
+                             stage_times, category_times, phase_category,
+                             memory_bound, phase_memory)
+        return self._folds
 
     @property
     def total_time(self) -> float:
-        return sum(c.total for c in self.costs)
+        return self._fold().total_time
+
+    def phases(self) -> List[str]:
+        """Distinct phase labels in first-appearance order (the same
+        list as :meth:`Trace.phases`)."""
+        return list(self._fold().phase_times)
+
+    def count_by_phase(self) -> Dict[str, int]:
+        return dict(self._fold().phase_counts)
 
     def time_by_phase(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for cost in self.costs:
-            phase = cost.event.phase
-            out[phase] = out.get(phase, 0.0) + cost.total
-        return out
+        return dict(self._fold().phase_times)
 
     def time_by_stage(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for cost in self.costs:
-            stage = cost.event.stage or "<untagged>"
-            out[stage] = out.get(stage, 0.0) + cost.total
-        return out
+        return dict(self._fold().stage_times)
 
     def time_by_category(self, phase: Optional[str] = None) -> Dict[OpCategory, float]:
-        out: Dict[OpCategory, float] = {}
-        for cost in self.costs:
-            if phase is not None and cost.event.phase != phase:
-                continue
-            cat = cost.event.category
-            out[cat] = out.get(cat, 0.0) + cost.total
-        return out
+        folds = self._fold()
+        if phase is None:
+            return dict(folds.category_times)
+        return dict(folds.phase_category_times.get(phase, {}))
 
     def memory_bound_fraction(self, phase: Optional[str] = None) -> float:
         """Fraction of projected time spent in memory-bound events."""
-        total = 0.0
-        bound = 0.0
-        for cost in self.costs:
-            if phase is not None and cost.event.phase != phase:
-                continue
-            total += cost.total
-            if cost.bound == "memory":
-                bound += cost.total
+        folds = self._fold()
+        if phase is None:
+            total = folds.total_time
+            bound = folds.memory_bound_time
+        else:
+            total = folds.phase_times.get(phase, 0.0)
+            bound = folds.phase_memory_bound_times.get(phase, 0.0)
         return bound / total if total > 0 else 0.0
 
 

@@ -154,7 +154,10 @@ class BatchNorm2d(Module):
         shift = (self.beta - self.running_mean * scale.reshape(c)).reshape(1, c, 1, 1)
 
         def _compute(a: np.ndarray) -> np.ndarray:
-            return a * scale + shift
+            # one output-sized temporary: scale, then shift in place
+            out = a * scale
+            np.add(out, shift, out=out)
+            return out
 
         return run_op("batchnorm2d", OpCategory.ELEMENTWISE, _compute, [x],
                       flop_factor=2.0, extra_bytes_read=scale.nbytes + shift.nbytes)

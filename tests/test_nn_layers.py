@@ -68,6 +68,21 @@ class TestConvAndPool:
         out = layer(T.tensor(np.ones((2, 3, 4, 4), dtype=np.float32)))
         assert out.shape == (2, 3, 4, 4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batchnorm_matches_scale_then_shift(self, dtype):
+        """The in-place shift gives the bits of ``x * scale + shift``."""
+        layer = BatchNorm2d(4, seed=1)
+        x = np.random.default_rng(0).standard_normal(
+            (2, 4, 5, 5)).astype(dtype)
+        scale = (layer.gamma / np.sqrt(layer.running_var + 1e-5)
+                 ).reshape(1, 4, 1, 1)
+        shift = (layer.beta - layer.running_mean * scale.reshape(4)
+                 ).reshape(1, 4, 1, 1)
+        want = x * scale + shift
+        got = layer(T.tensor(x)).numpy()
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 def _windows(a, k, s):
     """The reference pooling windows: a strided 6-D window view."""

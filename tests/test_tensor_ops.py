@@ -433,6 +433,24 @@ class TestEventAccounting:
             T.copy(T.tensor(x))
         assert prof.trace.events[0].output_sparsity == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    @pytest.mark.parametrize("size", [1000, 4096, 20000])
+    def test_sparsity_count_is_exact(self, dtype, size):
+        """Both counting forms (below and above the compare threshold)
+        give count_nonzero's exact value: NaN is nonzero, -0.0 zero."""
+        from repro.tensor.dispatch import _measure_sparsity
+
+        a = np.arange(1, size + 1).astype(dtype)
+        a[::5] = 0
+        a[1::7] = -0.0
+        a[2::11] = np.nan
+        if a.dtype.kind == "c":
+            a[3::13] = 1j
+        for arr in (a, a.reshape(-1, 8).T):  # contiguous and strided
+            assert _measure_sparsity(arr) == \
+                1.0 - np.count_nonzero(arr) / arr.size
+
     def test_no_context_no_recording(self):
         out = T.add(T.tensor(np.ones(3)), 1.0)
         np.testing.assert_allclose(out.numpy(), [2, 2, 2])
