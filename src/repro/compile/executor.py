@@ -62,7 +62,7 @@ __all__ = ["ENABLED", "PlanSession", "ExecutionStats", "plan_session",
            "diff_against_eager"]
 
 #: Fast-path flag consulted by the dispatcher before any function call
-#: into this module (same contract as ``repro.obs.selfprof.ENABLED`` /
+#: into this module (same contract as ``repro.obs.selfprof.ACTIVE`` /
 #: ``repro.obs.metrics.ENABLED``): true while *any* thread has an open
 #: plan session.  The dispatcher still resolves the thread-local
 #: session, so other threads fall through to eager dispatch.

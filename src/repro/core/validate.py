@@ -11,17 +11,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.profiler import Trace
+
+#: Per-event numeric fields that must be finite for any analysis to hold.
+COUNTER_FIELDS = ("flops", "bytes_read", "bytes_written", "wall_time",
+                  "live_bytes", "output_sparsity")
 
 
 @dataclass
 class ValidationResult:
-    """Outcome of validating one trace."""
+    """Outcome of validating one trace.
+
+    Besides the error messages, the pass keeps two findings in
+    structured form for :mod:`repro.resilience.health`, which reports
+    them as checks of their own: ``non_finite`` holds ``(eid, name,
+    counter, value)`` per non-finite counter and ``negative_live``
+    holds ``(eid, live_bytes)`` per negative live-bytes snapshot, both
+    in trace order.
+    """
 
     workload: str
     errors: List[str] = field(default_factory=list)
+    non_finite: List[Tuple[int, str, str, float]] = field(
+        default_factory=list)
+    negative_live: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -63,11 +78,13 @@ def validate_trace(trace: Trace,
 
         # non-finite counters must be rejected explicitly: NaN slips
         # through every `< 0` / range comparison below.
-        for counter in ("flops", "bytes_read", "bytes_written",
-                        "wall_time", "live_bytes", "output_sparsity"):
-            if not math.isfinite(float(getattr(event, counter))):
+        for counter in COUNTER_FIELDS:
+            value = float(getattr(event, counter))
+            if not math.isfinite(value):
+                result.non_finite.append(
+                    (event.eid, event.name, counter, value))
                 err(f"event {event.eid} ({event.name}) has non-finite "
-                    f"{counter}: {getattr(event, counter)}")
+                    f"{counter}: {value}")
 
         if event.flops < 0:
             err(f"event {event.eid} ({event.name}) has negative flops")
@@ -80,6 +97,7 @@ def validate_trace(trace: Trace,
         if event.wall_time < 0:
             err(f"event {event.eid} has negative wall time")
         if event.live_bytes < 0:
+            result.negative_live.append((event.eid, event.live_bytes))
             err(f"event {event.eid} has negative live bytes")
 
     if expected_phases is not None:

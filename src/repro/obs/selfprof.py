@@ -9,16 +9,17 @@ metrics — on top of the numpy kernel.  Before the compiled execution
 tier (ROADMAP item 1) can claim to eliminate that overhead, we have
 to be able to *measure* it.
 
-When :data:`ENABLED` is on (off by default; use
-:func:`scoped_ledger`), the dispatcher routes through an instrumented
-path that brackets each named component with paired
-:func:`repro.obs.clock.perf_ns` probes and feeds the integer-ns
-deltas into the active :class:`DispatchLedger`.  Probes are placed at
-*segment boundaries*, so the component times of one op telescope —
-they tile the op's instrumented wall time exactly, by construction
-(asserted in ``tests/test_selfprof.py``).  When the flag is off the
-dispatcher pays one module-attribute load and branch per op; the
-traced events are bit-identical either way (same counters digest).
+While a ledger is installed in :data:`ACTIVE` (``None`` by default;
+use :func:`scoped_ledger`), the dispatcher's probes are live: paired
+:func:`repro.obs.clock.perf_ns` reads bracket each named component
+and the integer-ns deltas feed the installed :class:`DispatchLedger`.
+Probes are placed at *segment boundaries*, so the component times of
+one op telescope — they tile the op's instrumented wall time exactly,
+by construction (asserted in ``tests/test_selfprof.py``).  There is
+one dispatch path either way: with no ledger installed each probe is
+a short-circuited ``ledger and perf_ns()`` that reads no clock, and
+the traced events are bit-identical with the ledger on or off (same
+counters digest).
 
 The ledger rolls up per **operator category** and exposes the
 **compiled-tier headroom** estimate: the fraction of projected
@@ -47,7 +48,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "COMPONENTS", "OVERHEAD_COMPONENTS", "MODELED_COMPONENT_NS",
-    "MODELED_OVERHEAD_NS_PER_OP", "DispatchLedger", "ENABLED",
+    "MODELED_OVERHEAD_NS_PER_OP", "DispatchLedger", "ACTIVE",
     "scoped_ledger", "active_ledger",
 ]
 
@@ -290,18 +291,19 @@ class DispatchLedger:
 # process-wide enable state (mirrors repro.obs.metrics)
 # ---------------------------------------------------------------------------
 
-#: Hot-path flag: the dispatcher reads this once per op and takes the
-#: instrumented path only when true.  Do not write directly — use
+#: Hot-path switch: the installed ledger, or ``None`` when
+#: self-profiling is off.  The dispatcher reads this once per op and
+#: relies on a ledger being truthy (:class:`DispatchLedger` defines
+#: neither ``__bool__`` nor ``__len__``).  Do not write directly — use
 #: :func:`scoped_ledger`.
-ENABLED = False
+ACTIVE: Optional[DispatchLedger] = None
 
 _state_lock = threading.Lock()
-_active: Optional[DispatchLedger] = None
 
 
 def active_ledger() -> Optional[DispatchLedger]:
     """The installed ledger, or ``None`` when self-profiling is off."""
-    return _active
+    return ACTIVE
 
 
 @contextmanager
@@ -311,16 +313,14 @@ def scoped_ledger() -> Iterator[DispatchLedger]:
     Scopes do not nest: the dispatcher feeds exactly one ledger, so a
     nested scope would silently steal the outer scope's ops.
     """
-    global ENABLED, _active
+    global ACTIVE
     ledger = DispatchLedger()
     with _state_lock:
-        if _active is not None:
+        if ACTIVE is not None:
             raise RuntimeError("self-profiling scopes do not nest")
-        _active = ledger
-        ENABLED = True
+        ACTIVE = ledger
     try:
         yield ledger
     finally:
         with _state_lock:
-            _active = None
-            ENABLED = False
+            ACTIVE = None

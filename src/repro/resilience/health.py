@@ -25,10 +25,6 @@ from typing import List, Optional, Sequence
 from repro.core.profiler import Trace
 from repro.core.validate import validate_trace
 
-#: Per-event numeric fields that must be finite for any analysis to hold.
-COUNTER_FIELDS = ("flops", "bytes_read", "bytes_written", "wall_time",
-                  "live_bytes", "output_sparsity")
-
 #: Cap on per-check detail lines so a fully-poisoned trace stays readable.
 _MAX_DETAILS = 5
 
@@ -84,18 +80,15 @@ def check_trace_health(trace: Trace,
     report = HealthReport(workload=trace.workload)
     add = report.checks.append
 
-    # structure: the core validator's verdict, as one named check.
+    # structure: the core validator's verdict, as one named check.  The
+    # same pass also collects the non-finite counters and negative
+    # live-bytes snapshots reported by two checks below.
     validation = validate_trace(trace, expected_phases=expected_phases)
     add(HealthCheck("structure", validation.ok, _clip(validation.errors)))
 
     # finite_counters: NaN/Inf anywhere makes every aggregate a lie.
-    bad: List[str] = []
-    for event in trace:
-        for fname in COUNTER_FIELDS:
-            value = float(getattr(event, fname))
-            if not math.isfinite(value):
-                bad.append(f"event {event.eid} ({event.name}) "
-                           f"{fname}={value}")
+    bad = [f"event {eid} ({name}) {counter}={value}"
+           for eid, name, counter, value in validation.non_finite]
     add(HealthCheck("finite_counters", not bad, _clip(bad)))
 
     # nonempty_phases: every expected phase must have recorded real work.
@@ -119,11 +112,8 @@ def check_trace_health(trace: Trace,
     # live_bytes_balance: snapshots must be non-negative and must not
     # exceed the runtime-tracked peak (an event above it means the
     # snapshot was corrupted or the allocator blew up mid-op).
-    problems = []
-    for event in trace:
-        if event.live_bytes < 0:
-            problems.append(f"event {event.eid} live_bytes "
-                            f"{event.live_bytes} < 0")
+    problems = [f"event {eid} live_bytes {live} < 0"
+                for eid, live in validation.negative_live]
     runtime_peak = trace.metadata.get("peak_live_bytes")
     if isinstance(runtime_peak, (int, float)) and trace.events:
         observed = trace.peak_live_bytes

@@ -12,6 +12,13 @@ Every public op in :mod:`repro.tensor.ops` funnels through
 6. returns a :class:`~repro.tensor.tensor.Tensor` whose ``producer``
    points at the new event.
 
+It is the one dispatch path, with or without self-profiling: while a
+:class:`~repro.obs.selfprof.DispatchLedger` is installed
+(:data:`repro.obs.selfprof.ACTIVE`), ten ``perf_ns`` probes split each
+traced op into the nine :data:`~repro.obs.selfprof.COMPONENTS` and
+feed the ledger; without one each probe short-circuits and reads no
+clock.
+
 There is also :func:`record_region` for control-flow-heavy symbolic
 code (rule search loops, theorem-prover traversals) that does not map
 onto a single tensor kernel: it wraps a Python block, measures its wall
@@ -210,112 +217,21 @@ def run_op(name: str,
         session = _planexec.active_session()
         if session is not None:
             return session.replay_op(name, compute, inputs)
-    if _selfprof.ENABLED:
-        # self-profiling path: identical semantics, with paired
-        # perf_ns probes bracketing each dispatch component
-        return _run_op_ledgered(
-            name, category, compute, inputs, flops=flops,
-            flop_factor=flop_factor, extra_bytes_read=extra_bytes_read,
-            bytes_written=bytes_written,
-            measure_sparsity=measure_sparsity)
+    # the probes sit at shared segment boundaries, so one op's component
+    # deltas telescope to exactly p9 - p0
+    ledger = _selfprof.ACTIVE
+    p0 = ledger and _perf_ns()
     if category is None:
         category = category_for(name)
+    p1 = ledger and _perf_ns()                     # taxonomy
     arrays, bytes_read, shapes, parents = _split_inputs(inputs)
+    p2 = ledger and _perf_ns()                     # inputs
     ctx = active_context()
     injection = _consider_fault(name)
-    if ctx is None:
-        out = compute(*arrays)
-        out_arr = np.asarray(out)
-        _, poison, _ = _apply_injection(injection, 0.0)
-        if poison is not None:
-            out_arr = _poison_array(out_arr, poison)
-        return Tensor(out_arr)
-
-    t_start = _now()
-    out = compute(*arrays)
-    elapsed = _now() - t_start
-    out_arr = np.asarray(out)
-    elapsed, poison, extra_live = _apply_injection(injection, elapsed)
-    if poison is not None:
-        out_arr = _poison_array(out_arr, poison)
-
-    if flops is None:
-        flops = flop_factor * out_arr.size
-    written = out_arr.nbytes if bytes_written is None else bytes_written
-    sparsity = _measure_sparsity(out_arr) if measure_sparsity else 0.0
-    if poison is not None:
-        flops = poison
-        sparsity = poison
-
-    eid = ctx.next_eid()
-    result = Tensor(out_arr, producer=eid)
-    live_bytes = ctx.live_bytes + extra_live
-    event = TraceEvent(
-        eid=eid,
-        name=name,
-        category=category,
-        phase=ctx.current_phase,
-        stage=ctx.current_stage,
-        flops=float(flops),
-        bytes_read=bytes_read + extra_bytes_read,
-        bytes_written=written,
-        input_shapes=shapes,
-        output_shape=out_arr.shape,
-        output_sparsity=sparsity,
-        wall_time=elapsed,
-        parents=parents,
-        live_bytes=live_bytes,
-        t_start=t_start,
-        sid=_current_sid(),
-    )
-    ctx.record(event)
-    observer = active_op_observer()
-    if observer is not None:
-        # observers see dtypes and exact input values, which the trace
-        # event intentionally omits (repro.fuzz.harvest relies on this)
-        observer.observe_op(event, arrays, out_arr)
-    if _metrics.ENABLED:
-        _metrics.observe_op(category.value, elapsed, float(flops),
-                            bytes_read + extra_bytes_read + written,
-                            live_bytes)
-    return result
-
-
-def _run_op_ledgered(name: str,
-                     category: Optional[OpCategory],
-                     compute: Callable[..., np.ndarray],
-                     inputs: Sequence[InputLike],
-                     *,
-                     flops: Optional[float],
-                     flop_factor: float,
-                     extra_bytes_read: int,
-                     bytes_written: Optional[int],
-                     measure_sparsity: bool) -> Tensor:
-    """:func:`run_op` with dispatch-overhead self-profiling.
-
-    Semantically identical to the plain path — it must produce the
-    same trace event, counters, and output tensor (asserted by
-    counter-digest equality in ``tests/test_selfprof.py``) — but each
-    component of the dispatch is bracketed by
-    :func:`repro.obs.clock.perf_ns` probes placed at *shared segment
-    boundaries*: consecutive integer-ns deltas telescope, so the
-    component times of one op sum exactly to its instrumented wall
-    time.  The deltas feed the active
-    :class:`repro.obs.selfprof.DispatchLedger`.
-    """
-    ledger = _selfprof.active_ledger()
-    p0 = _perf_ns()
-    if category is None:
-        category = category_for(name)
-    p1 = _perf_ns()                                # taxonomy
-    arrays, bytes_read, shapes, parents = _split_inputs(inputs)
-    p2 = _perf_ns()                                # inputs
-    ctx = active_context()
-    injection = _consider_fault(name)
-    p3 = _perf_ns()                                # fault
+    p3 = ledger and _perf_ns()                     # fault
     if ctx is None:
         # untraced dispatch records no event, so there is nothing to
-        # attribute — mirror the plain untraced path, skip the ledger
+        # attribute either
         out = compute(*arrays)
         out_arr = np.asarray(out)
         _, poison, _ = _apply_injection(injection, 0.0)
@@ -327,7 +243,7 @@ def _run_op_ledgered(name: str,
     out = compute(*arrays)
     elapsed = _now() - t_start
     out_arr = np.asarray(out)
-    p4 = _perf_ns()                                # kernel
+    p4 = ledger and _perf_ns()                     # kernel
     elapsed, poison, extra_live = _apply_injection(injection, elapsed)
     if poison is not None:
         out_arr = _poison_array(out_arr, poison)
@@ -338,10 +254,10 @@ def _run_op_ledgered(name: str,
     if poison is not None:
         flops = poison
         sparsity = poison
-    p5 = _perf_ns()                                # counters
+    p5 = ledger and _perf_ns()                     # counters
     eid = ctx.next_eid()
     sid = _current_sid()
-    p6 = _perf_ns()                                # span
+    p6 = ledger and _perf_ns()                     # span
     result = Tensor(out_arr, producer=eid)
     live_bytes = ctx.live_bytes + extra_live
     event = TraceEvent(
@@ -363,17 +279,19 @@ def _run_op_ledgered(name: str,
         sid=sid,
     )
     ctx.record(event)
-    p7 = _perf_ns()                                # record
+    p7 = ledger and _perf_ns()                     # record
     observer = active_op_observer()
     if observer is not None:
+        # observers see dtypes and exact input values, which the trace
+        # event intentionally omits (repro.fuzz.harvest relies on this)
         observer.observe_op(event, arrays, out_arr)
-    p8 = _perf_ns()                                # observer
+    p8 = ledger and _perf_ns()                     # observer
     if _metrics.ENABLED:
         _metrics.observe_op(category.value, elapsed, float(flops),
                             bytes_read + extra_bytes_read + written,
                             live_bytes)
-    p9 = _perf_ns()                                # metrics
     if ledger is not None:
+        p9 = _perf_ns()                            # metrics
         ledger.record(category.value, {
             "taxonomy": p1 - p0,
             "inputs": p2 - p1,

@@ -5,9 +5,12 @@ lint: the dispatch-overhead observatory's invariants.
   shared segment boundaries, so one op's component deltas telescope:
   they tile the instrumented wall time exactly (asserted with an
   injected deterministic clock);
+* exact op count — the ledger records exactly the ops ``run_op``
+  reports to op observers, per category, across the roster;
 * zero interference — the traced events are bit-identical with and
-  without the ledger (counters digest equality), and the scoped flag
-  always restores;
+  without the ledger (counters and event-stream digests), across the
+  roster and under a fault plan, and the scoped ledger always
+  uninstalls;
 * determinism — the deterministic ledger view, its digest, and the
   opportunity report are bit-identical across two seeded runs;
 * RL107 — raw ``time.*`` clock reads are banned from the shipped
@@ -16,22 +19,42 @@ lint: the dispatch-overhead observatory's invariants.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 import threading
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro import tensor as T
 from repro.core.taxonomy import OpCategory
 from repro.lint.engine import LintConfig, default_scan_root, run_lint
 from repro.obs import selfprof
 from repro.obs.opportune import analyze_trace
 from repro.obs.runrec import counters_digest
+from repro.resilience import (FAULT_LATENCY, FAULT_NAN, FAULT_RAISE,
+                              FaultPlan, FaultSpec, InjectedFaultError)
 from repro.tensor import dispatch
-from repro.workloads import create
+from repro.tensor.context import op_observer
+from repro.workloads import available, create
+from tests.conftest import cached_trace
+from tests.test_roster_pin import events_digest
 
 MUTANTS = Path(__file__).resolve().parent / "fixtures" / "clock_mutants"
+ROSTER = sorted(available())
+
+
+class _CategoryCounter:
+    """Op observer counting ``run_op`` dispatches per category."""
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+
+    def observe_op(self, event, inputs, output) -> None:
+        self.counts[event.category.value] += 1
 
 
 def _profile_with_ledger(name="lnn", seed=0):
@@ -75,20 +98,16 @@ class TestLedgerAttribution:
             assert ns == sum(bucket.get(component, 0)
                              for bucket in by_category.values())
 
-    def test_ops_match_dispatched_events(self):
-        trace, ledger = _profile_with_ledger()
-        dispatched = [e for e in trace.events
-                      if e.name not in ("host_region",)]
-        by_category = {}
-        for event in dispatched:
-            key = event.category.value
-            by_category[key] = by_category.get(key, 0) + 1
-        ledger_by_category = ledger.ops_by_category()
-        for category, count in ledger_by_category.items():
-            assert by_category.get(category, 0) >= count
-        assert ledger.ops <= len(trace.events)
-        # the overwhelming majority of events are real dispatches
-        assert ledger.ops >= len(trace.events) - 5
+    @pytest.mark.parametrize("name", ROSTER)
+    def test_ops_match_dispatched_events(self, name):
+        """The ledger counts exactly the ops run_op dispatched under
+        the profile context, per category (only run_op notifies op
+        observers, and only for traced ops, as it only then records)."""
+        counter = _CategoryCounter()
+        with selfprof.scoped_ledger() as ledger, op_observer(counter):
+            create(name, seed=0).profile()
+        assert ledger.ops > 0
+        assert ledger.ops_by_category() == dict(counter.counts)
 
     def test_headroom_bounds(self):
         _, ledger = _profile_with_ledger()
@@ -133,32 +152,63 @@ class TestLedgerConcurrency:
             selfprof.COMPONENTS, total)
 
 
+def _faulted_lnn(ledgered: bool):
+    """Run seed-0 LNN under one fault plan (poison, latency, and a
+    raising spec at op 150); returns the partial trace, the raised
+    error and the injection schedule."""
+    workload = create("lnn", seed=0)
+    workload.build()
+    plan = FaultPlan([FaultSpec(kind=FAULT_RAISE, op_index=150),
+                      FaultSpec(kind=FAULT_NAN, rate=0.1),
+                      FaultSpec(kind=FAULT_LATENCY, rate=0.1)], seed=5)
+    scope = (selfprof.scoped_ledger() if ledgered
+             else contextlib.nullcontext())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NaN math
+        with scope, plan, T.profile("lnn") as prof:
+            with pytest.raises(InjectedFaultError) as excinfo:
+                workload.run()
+    return prof.trace, excinfo.value, plan.schedule()
+
+
 class TestZeroInterference:
-    def test_counters_digest_identical_with_and_without_ledger(self):
-        plain = create("lnn", seed=0).profile()
-        ledgered, _ = _profile_with_ledger()
+    @pytest.mark.parametrize("name", ROSTER)
+    def test_counters_digest_identical_with_and_without_ledger(self, name):
+        plain = cached_trace(name, seed=0)
+        ledgered, _ = _profile_with_ledger(name)
         assert counters_digest(plain) == counters_digest(ledgered)
+        assert events_digest(plain) == events_digest(ledgered)
+
+    def test_fault_plan_identical_with_and_without_ledger(self):
+        plain, plain_error, plain_schedule = _faulted_lnn(False)
+        ledgered, error, schedule = _faulted_lnn(True)
+        assert {kind for _, _, kind in schedule} \
+            == {FAULT_RAISE, FAULT_NAN, FAULT_LATENCY}
+        assert schedule == plain_schedule
+        assert (error.op_name, error.op_index) \
+            == (plain_error.op_name, plain_error.op_index)
+        assert error.op_index == 150
+        assert counters_digest(ledgered) == counters_digest(plain)
+        assert events_digest(ledgered) == events_digest(plain)
 
     def test_flag_restores_after_scope(self):
-        assert selfprof.ENABLED is False
-        with selfprof.scoped_ledger():
-            assert selfprof.ENABLED is True
-            assert selfprof.active_ledger() is not None
-        assert selfprof.ENABLED is False
+        assert selfprof.active_ledger() is None
+        with selfprof.scoped_ledger() as ledger:
+            assert selfprof.active_ledger() is ledger
         assert selfprof.active_ledger() is None
 
     def test_flag_restores_on_error(self):
         with pytest.raises(RuntimeError, match="boom"):
             with selfprof.scoped_ledger():
                 raise RuntimeError("boom")
-        assert selfprof.ENABLED is False
+        assert selfprof.active_ledger() is None
 
     def test_scopes_do_not_nest(self):
         with selfprof.scoped_ledger():
             with pytest.raises(RuntimeError, match="nest"):
                 with selfprof.scoped_ledger():
                     pass
-        assert selfprof.ENABLED is False
+        assert selfprof.active_ledger() is None
 
     def test_enabled_outside_profile_context(self):
         """Dispatch outside any profile context still computes, and
